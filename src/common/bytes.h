@@ -306,10 +306,14 @@ class BodyView {
   size_t size_ = 0;
 };
 
-// FNV-1a 64-bit — stable content hash for dedup checks and key scrambling.
-inline uint64_t fnv1a64(const void* data, size_t len) {
+// FNV-1a 64-bit — the one stable content hash: object checksums
+// (common/checksum.h), metadb snapshot footers, determinism trace folding,
+// fault/scenario event hashes, key scrambling. Incremental: pass a previous
+// result as `h` to extend it.
+inline constexpr uint64_t kFnv1aBasis = 0xCBF29CE484222325ull;
+
+inline uint64_t fnv1a64(uint64_t h, const void* data, size_t len) {
   const auto* p = static_cast<const uint8_t*>(data);
-  uint64_t h = 0xCBF29CE484222325ull;
   for (size_t i = 0; i < len; ++i) {
     h ^= p[i];
     h *= 0x100000001B3ull;
@@ -317,8 +321,23 @@ inline uint64_t fnv1a64(const void* data, size_t len) {
   return h;
 }
 
-inline uint64_t fnv1a64(std::string_view s) {
-  return fnv1a64(s.data(), s.size());
+inline uint64_t fnv1a64(uint64_t h, std::string_view s) {
+  return fnv1a64(h, s.data(), s.size());
 }
+
+// Extends `h` by the 8 bytes of `v`, least significant first.
+inline uint64_t fnv1a64_word(uint64_t h, uint64_t v) {
+  uint8_t le[8];
+  for (size_t i = 0; i < sizeof(le); ++i) {
+    le[i] = static_cast<uint8_t>(v >> (8 * i));
+  }
+  return fnv1a64(h, le, sizeof(le));
+}
+
+inline uint64_t fnv1a64(const void* data, size_t len) {
+  return fnv1a64(kFnv1aBasis, data, len);
+}
+
+inline uint64_t fnv1a64(std::string_view s) { return fnv1a64(kFnv1aBasis, s); }
 
 }  // namespace wiera

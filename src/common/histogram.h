@@ -86,20 +86,4 @@ class LatencyHistogram {
   std::vector<int64_t> raw_;  // sorted lazily at percentile() time
 };
 
-// Simple time-series recorder: (time, value) samples for timeline figures
-// (e.g. Fig. 7's put-latency-over-time plot).
-class TimeSeries {
- public:
-  void record(TimePoint t, double value) { samples_.push_back({t, value}); }
-  struct Sample {
-    TimePoint time;
-    double value;
-  };
-  const std::vector<Sample>& samples() const { return samples_; }
-  void clear() { samples_.clear(); }
-
- private:
-  std::vector<Sample> samples_;
-};
-
 }  // namespace wiera

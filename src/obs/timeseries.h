@@ -9,9 +9,7 @@
 // bookkeeping on caller-supplied virtual timestamps; nothing reads a wall
 // clock or schedules sim events, so an armed sampler stays deterministic and
 // an unarmed one is invisible.
-//
-// Distinct from wiera::TimeSeries (common/histogram.h), the unbounded
-// recorder used for figure plots: this one is a ring with windowed queries.
+
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "common/bytes.h"
 #include "common/logging.h"
 
 namespace wiera::sim {
@@ -49,14 +50,6 @@ namespace {
 // Simulation lifetimes in one scope.
 thread_local SimChecker* g_current = nullptr;
 thread_local int g_teardown = 0;
-
-uint64_t fnv1a(uint64_t hash, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (v >> (i * 8)) & 0xff;
-    hash *= 1099511628211ull;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -162,13 +155,14 @@ void SimChecker::on_task_complete(const void* root_handle) {
 
 void SimChecker::fold_trace(uint64_t value) {
   if (!enabled_) return;
-  trace_hash_ = fnv1a(trace_hash_, value);
+  trace_hash_ = fnv1a64_word(trace_hash_, value);
 }
 
 void SimChecker::begin_event(const void* handle, int64_t time_us,
                              uint64_t seq) {
   if (!enabled_) return;
-  trace_hash_ = fnv1a(fnv1a(trace_hash_, static_cast<uint64_t>(time_us)), seq);
+  trace_hash_ = fnv1a64_word(
+      fnv1a64_word(trace_hash_, static_cast<uint64_t>(time_us)), seq);
   auto it = handle_task_.find(handle);
   if (it == handle_task_.end()) {
     current_ = kNoTask;

@@ -50,6 +50,11 @@
 
 namespace wiera::sim {
 
+// Starting value of the determinism trace hash: the FNV-1a offset basis with
+// its last decimal digit dropped. Not the basis, but every pinned trace hash
+// (tests/golden/trace_hashes.txt) starts from it.
+inline constexpr uint64_t kTraceHashSeed = 1469598103934665603ull;
+
 // What a suspended task is blocked on.
 enum class WaitKind : uint8_t {
   kNone = 0,   // runnable / waiting on a scheduled wakeup (timer, RPC)
@@ -211,7 +216,7 @@ class SimChecker {
   uint64_t current_ = kNoTask;
   uint64_t tasks_spawned_ = 0;
   uint64_t tasks_completed_ = 0;
-  uint64_t trace_hash_ = 1469598103934665603ull;  // FNV-1a offset basis
+  uint64_t trace_hash_ = kTraceHashSeed;
 
   std::unordered_map<uint64_t, TaskInfo> tasks_;          // live tasks
   std::unordered_map<const void*, uint64_t> handle_task_; // suspended → task

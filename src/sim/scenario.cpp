@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/bytes.h"
 #include "common/logging.h"
 
 namespace wiera::sim {
@@ -14,21 +15,6 @@ constexpr double kPi = 3.14159265358979323846;
 // their inter-op gap by the multiplier, so the floor bounds the slowdown.
 constexpr double kMinRateMultiplier = 0.2;
 
-uint64_t fnv1a(uint64_t hash, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    hash ^= (v >> (8 * i)) & 0xFF;
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
-
-uint64_t fnv1a_str(uint64_t hash, const std::string& s) {
-  for (const char c : s) {
-    hash ^= static_cast<uint8_t>(c);
-    hash *= 0x100000001B3ull;
-  }
-  return hash;
-}
 
 }  // namespace
 
@@ -72,21 +58,21 @@ std::string ScenarioEvent::describe() const {
 }
 
 uint64_t ScenarioEvent::hash() const {
-  uint64_t h = 0xCBF29CE484222325ull;
+  uint64_t h = kFnv1aBasis;
   // Distinguish scenario events from fault events at identical payloads: the
   // two families fold into the same trace hash stream.
-  h = fnv1a_str(h, "scenario");
-  h = fnv1a(h, static_cast<uint64_t>(kind));
-  h = fnv1a(h, static_cast<uint64_t>(at.us()));
-  h = fnv1a(h, static_cast<uint64_t>(until.us()));
-  h = fnv1a_str(h, target);
-  h = fnv1a(h, static_cast<uint64_t>(amplitude * 1e6));
-  h = fnv1a(h, static_cast<uint64_t>(period.us()));
-  h = fnv1a(h, static_cast<uint64_t>(exponent * 1e6));
-  h = fnv1a(h, static_cast<uint64_t>(hot_lo));
-  h = fnv1a(h, static_cast<uint64_t>(hot_hi));
-  h = fnv1a(h, static_cast<uint64_t>(boost * 1e6));
-  h = fnv1a(h, static_cast<uint64_t>(mix_fraction * 1e6));
+  h = fnv1a64(h, "scenario");
+  h = fnv1a64_word(h, static_cast<uint64_t>(kind));
+  h = fnv1a64_word(h, static_cast<uint64_t>(at.us()));
+  h = fnv1a64_word(h, static_cast<uint64_t>(until.us()));
+  h = fnv1a64(h, target);
+  h = fnv1a64_word(h, static_cast<uint64_t>(amplitude * 1e6));
+  h = fnv1a64_word(h, static_cast<uint64_t>(period.us()));
+  h = fnv1a64_word(h, static_cast<uint64_t>(exponent * 1e6));
+  h = fnv1a64_word(h, static_cast<uint64_t>(hot_lo));
+  h = fnv1a64_word(h, static_cast<uint64_t>(hot_hi));
+  h = fnv1a64_word(h, static_cast<uint64_t>(boost * 1e6));
+  h = fnv1a64_word(h, static_cast<uint64_t>(mix_fraction * 1e6));
   return h;
 }
 

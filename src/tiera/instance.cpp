@@ -189,19 +189,8 @@ sim::Task<Result<PutResult>> TieraInstance::put(std::string key, Blob value,
           ? 1
           : std::max(existing->latest_version(), existing->max_allocated) + 1;
 
-  metadb::VersionMeta& vm = meta_.upsert_version(key, version);
-  vm.size = static_cast<int64_t>(value.size());
-  vm.create_time = sim_->now();
-  vm.last_modified = sim_->now();
-  vm.origin = config_.instance_id;
-  vm.checksum = object_checksum(key, version, value);
-
-  InsertCtx ctx;
-  ctx.key = key;
-  ctx.version = version;
-  ctx.value = std::move(value);
-  ctx.opts = opts;
-  Status st = co_await run_insert_rules(ctx);
+  Status st = co_await write_version(key, version, std::move(value), opts,
+                                     sim_->now(), config_.instance_id);
   if (!st.ok()) {
     // Roll back the uncommitted upsert; NotFound just means a concurrent
     // remove already dropped it.
@@ -209,8 +198,6 @@ sim::Task<Result<PutResult>> TieraInstance::put(std::string key, Blob value,
     (void)meta_.remove_version(key, version);
     co_return st;
   }
-  meta_.upsert_version(key, version).committed = true;
-
   prune_versions(key);
   co_await check_fill_thresholds();
   put_hist_->record(sim_->now() - start);
@@ -263,23 +250,9 @@ sim::Task<Status> TieraInstance::update(std::string key, int64_t version,
   if (store::io_deadline_expired(opts, sim_->now())) {
     co_return deadline_exceeded("tiera update: " + key);
   }
-  metadb::VersionMeta& vm = meta_.upsert_version(key, version);
-  vm.size = static_cast<int64_t>(value.size());
-  if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
-  vm.last_modified = sim_->now();
-  vm.origin = config_.instance_id;
-  vm.checksum = object_checksum(key, version, value);
-
-  InsertCtx ctx;
-  ctx.key = std::move(key);
-  ctx.version = version;
-  ctx.value = std::move(value);
-  ctx.opts = opts;
-  Status st = co_await run_insert_rules(ctx);
-  if (st.ok()) {
-    meta_.upsert_version(ctx.key, version).committed = true;
-    prune_versions(ctx.key);
-  }
+  Status st = co_await write_version(key, version, std::move(value), opts,
+                                     sim_->now(), config_.instance_id);
+  if (st.ok()) prune_versions(key);
   co_return st;
 }
 
@@ -413,30 +386,97 @@ sim::Task<Result<bool>> TieraInstance::apply_remote_update(
     if (!wins) co_return false;
   }
 
-  metadb::VersionMeta& vm = meta_.upsert_version(update.key, update.version);
-  vm.size = static_cast<int64_t>(update.value.size());
-  if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
-  vm.last_modified = update.last_modified;
-  vm.origin = update.origin;
-  // Recomputed locally (not trusted from the wire): replicas holding the
-  // same (key, version, payload) record the same checksum, which is what
-  // the scrubber's digest exchange compares.
-  vm.checksum = object_checksum(update.key, update.version, update.value);
-
-  InsertCtx ctx;
-  ctx.key = update.key;
-  ctx.version = update.version;
-  ctx.value = std::move(update.value);
-  Status st = co_await run_insert_rules(ctx);
+  Status st = co_await write_version(update.key, update.version,
+                                     std::move(update.value), {},
+                                     update.last_modified, update.origin);
   if (!st.ok()) co_return st;
-  metadb::VersionMeta& committed = meta_.upsert_version(update.key,
-                                                        update.version);
-  committed.committed = true;
-  // run_insert_rules may have touched timestamps; restore the replicated
-  // last_modified (LWW must compare the origin's value everywhere).
-  committed.last_modified = update.last_modified;
   prune_versions(update.key);
   co_return true;
+}
+
+// The one write of a version's payload — put, update and replicated updates
+// alike: stamp and seal the metadata row, land the bytes through the insert
+// rules, commit. Same-version writes can overlap (an LWW winner arriving
+// while the loser's bytes are still landing), and tiers keep whichever copy
+// landed last. So while a write is in flight the seal it replaced stays
+// acceptable to read_version, and a write that lands after the write that
+// superseded it lands the winner's bytes again: the row's seal always ends
+// up describing the bytes the tiers hold (docs/INTEGRITY.md, "Colliding
+// versions").
+sim::Task<Status> TieraInstance::write_version(std::string key,
+                                               int64_t version, Blob value,
+                                               store::IoOptions opts,
+                                               TimePoint last_modified,
+                                               std::string origin) {
+  metadb::VersionMeta& vm = meta_.upsert_version(key, version);
+  const uint64_t superseded = vm.checksum;
+  vm.size = static_cast<int64_t>(value.size());
+  if (vm.create_time == TimePoint::origin()) vm.create_time = sim_->now();
+  vm.last_modified = last_modified;
+  vm.origin = std::move(origin);
+  // Recomputed locally, never trusted from the wire: replicas holding the
+  // same (key, version, payload) record the same seal, which is what the
+  // scrubber's digest exchange compares.
+  vm.checksum = object_checksum(key, version, value);
+  const uint64_t own_seal = vm.checksum;
+  uint64_t seal = own_seal;
+  const std::string vkey = versioned_key(key, version);
+  Landing& landing = landing_[vkey];
+  landing.writes++;
+  // Seals this write keeps acceptable while it lands.
+  std::vector<uint64_t> stale;
+  if (superseded != kUnsealed) {
+    stale.push_back(superseded);
+    landing.stale_seals.push_back(superseded);
+  }
+
+  InsertCtx ctx;
+  ctx.key = std::move(key);
+  ctx.version = version;
+  ctx.value = std::move(value);
+  ctx.opts = opts;
+  Status st = co_await run_insert_rules(ctx);
+  while (st.ok()) {
+    const metadb::VersionMeta* row = meta_.find_version(ctx.key, version);
+    const uint64_t winner = row == nullptr ? kUnsealed : row->checksum;
+    if (winner == seal || winner == kUnsealed ||
+        winner != landing_[vkey].landed_seal) {
+      break;
+    }
+    // The write that superseded this one landed first, so these bytes just
+    // overwrote the winner's: land the winner's again, keeping this write's
+    // seal acceptable until they are down.
+    stale.push_back(seal);
+    landing_[vkey].stale_seals.push_back(seal);
+    seal = winner;
+    ctx.value = landing_[vkey].landed_value;
+    ctx.stored_tiers.clear();
+    st = co_await run_insert_rules(ctx);
+  }
+  Landing& landed = landing_[vkey];
+  if (st.ok()) {
+    landed.landed_seal = seal;
+    landed.landed_value = ctx.value;
+  }
+  if (--landed.writes == 0) {
+    landing_.erase(vkey);
+  } else {
+    // Drop only this write's entries: a still-landing write may share one.
+    std::vector<uint64_t>& seals = landed.stale_seals;
+    for (const uint64_t mine : stale) {
+      auto it = std::find(seals.begin(), seals.end(), mine);
+      if (it != seals.end()) seals.erase(it);
+    }
+  }
+  if (!st.ok()) co_return st;
+  metadb::VersionMeta& committed = meta_.upsert_version(ctx.key, version);
+  committed.committed = true;
+  if (committed.checksum == own_seal || committed.checksum == kUnsealed) {
+    // Not taken over by a later write: restore the stamp LWW compares (the
+    // row may have been dropped and re-created while the bytes landed).
+    committed.last_modified = last_modified;
+  }
+  co_return ok_status();
 }
 
 // ---------------------------------------------------------------- rules
@@ -739,8 +779,7 @@ sim::Task<Result<Blob>> TieraInstance::read_version(const std::string& key,
     if (tier == nullptr || !tier->contains(vkey)) continue;
     Result<Blob> value = co_await tier->get(vkey, opts);
     if (!value.ok()) continue;
-    if (config_.verify_checksums && expected != 0 &&
-        object_checksum(key, version, *value) != expected) {
+    if (!copy_is_sealed(key, version, vkey, *value, expected)) {
       // Quarantine: a corrupt copy must never be served (or scrubbed
       // outward) — drop it and fall through to the next tier; a healthy
       // tier or replica supplies the repair.
@@ -771,6 +810,35 @@ sim::Task<Result<Blob>> TieraInstance::read_version(const std::string& key,
     co_return data_loss("all local copies of " + vkey + " corrupt");
   }
   co_return not_found("no tier holds " + vkey);
+}
+
+// A copy is genuine when it carries the seal of a write of (key, version)
+// that a tier could hold while the copy was read: the row's seal when the
+// read began or when it ended, or a seal replaced by a still-landing write.
+// The copy is hashed once unless a racing write offers another seal.
+bool TieraInstance::copy_is_sealed(const std::string& key, int64_t version,
+                                   const std::string& vkey, const Blob& copy,
+                                   uint64_t sealed_at_start) const {
+  const SealCheck check = seal_check(config_.verify_checksums);
+  if (seal_holds(check, sealed_at_start, key, version, copy.view())) {
+    return true;
+  }
+  std::vector<uint64_t> racing;
+  const metadb::VersionMeta* vm = meta_.find_version(key, version);
+  if (vm != nullptr) racing.push_back(vm->checksum);
+  if (auto it = landing_.find(vkey); it != landing_.end()) {
+    const std::vector<uint64_t>& stale = it->second.stale_seals;
+    racing.insert(racing.end(), stale.begin(), stale.end());
+  }
+  racing.erase(std::remove_if(racing.begin(), racing.end(),
+                              [sealed_at_start](uint64_t seal) {
+                                return seal == kUnsealed ||
+                                       seal == sealed_at_start;
+                              }),
+               racing.end());
+  if (racing.empty()) return false;
+  const uint64_t actual = object_checksum(key, version, copy);
+  return std::find(racing.begin(), racing.end(), actual) != racing.end();
 }
 
 sim::Task<void> TieraInstance::erase_version_everywhere(

@@ -257,6 +257,12 @@ class TieraInstance {
                                   const std::string& key, int64_t version,
                                   const Blob& value, store::IoOptions opts,
                                   bool set_location);
+  sim::Task<Status> write_version(std::string key, int64_t version,
+                                  Blob value, store::IoOptions opts,
+                                  TimePoint last_modified, std::string origin);
+  bool copy_is_sealed(const std::string& key, int64_t version,
+                      const std::string& vkey, const Blob& copy,
+                      uint64_t sealed_at_start) const;
   sim::Task<Result<Blob>> read_version(const std::string& key,
                                        int64_t version,
                                        store::IoOptions opts);
@@ -270,6 +276,17 @@ class TieraInstance {
   std::map<std::string, std::unique_ptr<store::StorageTier>> tiers_;
   std::vector<std::string> tier_order_;
   std::vector<std::shared_ptr<CompiledRule>> rules_;
+  // Same-version writes in flight, by versioned key (write_version,
+  // copy_is_sealed); an entry lives while one of its writes is landing.
+  struct Landing {
+    int writes = 0;
+    // Seals whose bytes a tier may hold though the row names another.
+    std::vector<uint64_t> stale_seals;
+    // The seal and bytes of the last write that finished landing.
+    uint64_t landed_seal = 0;
+    Blob landed_value;
+  };
+  std::map<std::string, Landing> landing_;
   InstanceHooks* hooks_ = nullptr;
   bool started_ = false;
   bool stopping_ = false;

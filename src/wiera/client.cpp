@@ -262,15 +262,25 @@ sim::Task<Result<PutResponse>> WieraClient::update_impl(std::string key,
   // The serving peer echoed a checksum bound to (key, allocated version,
   // payload). Recomputing it over the bytes we sent proves the ack — and in
   // particular the version number in it — survived the return leg intact.
-  if (decoded->checksum != 0 &&
-      object_checksum(req.key, decoded->version, req.value) !=
-          decoded->checksum) {
-    checksum_failures_->inc();
-    co_return data_loss("put " + req.key +
-                        ": response corrupted in transit (checksum mismatch)");
+  if (Status st = verify_response("put", req.key, decoded->version,
+                                  req.value.view(), decoded->checksum);
+      !st.ok()) {
+    co_return st;
   }
   put_hist_->record(sim_->now() - start);
   co_return std::move(decoded).value();
+}
+
+Status WieraClient::verify_response(std::string_view op,
+                                    const std::string& key, int64_t version,
+                                    std::string_view payload, uint64_t seal) {
+  // Always checked when sealed: the client has no verify_checksums knob.
+  if (seal_holds(SealCheck::kIfSealed, seal, key, version, payload)) {
+    return ok_status();
+  }
+  checksum_failures_->inc();
+  return data_loss(std::string(op) + " " + key +
+                   ": response corrupted in transit (checksum mismatch)");
 }
 
 sim::Task<Result<GetResponse>> WieraClient::get(std::string key) {
@@ -315,12 +325,10 @@ sim::Task<Result<GetResponse>> WieraClient::get_version_impl(std::string key,
   // delivered bytes means the response leg corrupted them in transit. The
   // operation fails kDataLoss rather than handing the application a
   // silently-corrupt payload.
-  if (decoded->checksum != 0 &&
-      object_checksum(req.key, decoded->version, decoded->value) !=
-          decoded->checksum) {
-    checksum_failures_->inc();
-    co_return data_loss("get " + req.key +
-                        ": payload corrupted in transit (checksum mismatch)");
+  if (Status st = verify_response("get", req.key, decoded->version,
+                                  decoded->value.view(), decoded->checksum);
+      !st.ok()) {
+    co_return st;
   }
   get_hist_->record(sim_->now() - start);
   co_return std::move(decoded).value();

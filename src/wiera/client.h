@@ -18,6 +18,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/context.h"
@@ -115,6 +116,11 @@ class WieraClient {
   const obs::KeyStats& key_stats() const { return key_stats_; }
 
  private:
+  // Checks a response against the serving peer's seal over (key, version,
+  // payload); a mismatch counts in checksum_failures and fails kDataLoss.
+  Status verify_response(std::string_view op, const std::string& key,
+                         int64_t version, std::string_view payload,
+                         uint64_t seal);
   // Issue `rpc_method` against the preferred peer; on kUnavailable (peer
   // down) or kResourceExhausted (peer shedding load) demote that peer to
   // the back of the preference order (counting one failover) and try the

@@ -47,14 +47,6 @@ WieraPeer* TieraServer::spawn_peer(WieraPeer::Config config) {
   return raw;
 }
 
-Status TieraServer::stop_peer(const std::string& instance_id) {
-  auto it = peers_.find(instance_id);
-  if (it == peers_.end()) return not_found("no peer " + instance_id);
-  it->second->stop();
-  peers_.erase(it);
-  return ok_status();
-}
-
 Status TieraServer::retire_peer(const std::string& instance_id) {
   auto it = peers_.find(instance_id);
   if (it == peers_.end()) return not_found("no peer " + instance_id);
@@ -234,9 +226,9 @@ Status WieraController::stop_instances(const std::string& wiera_id) {
   for (const std::string& id : it->second.peer_ids) {
     for (TieraServer* server : servers_) {
       if (server->peer(id) != nullptr) {
-        const Status st = server->stop_peer(id);
+        const Status st = server->retire_peer(id);
         if (!st.ok()) {
-          WLOG_WARN(kComponent) << "stop_peer " << id
+          WLOG_WARN(kComponent) << "retiring " << id
                                 << " failed: " << st.to_string();
         }
         break;

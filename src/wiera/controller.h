@@ -44,12 +44,13 @@ class TieraServer {
   // Spawns a peer whose instance_id must equal a topology node co-located
   // with (or equal to) this server's node.
   WieraPeer* spawn_peer(WieraPeer::Config config);
-  Status stop_peer(const std::string& instance_id);
-  // Detach a peer without destroying it: the object (and its registered
-  // rpc endpoint) moves to a retired list where it stays alive, so
-  // in-flight handler coroutines and straggler RPCs land on a live object
-  // that answers fast — but it leaves peer_ids(), so the heartbeat stops
-  // pinging it and the failure detector never trips (docs/SCENARIOS.md).
+  // Stop a peer and detach it without destroying it: the object (and its
+  // registered rpc endpoint) moves to a retired list where it stays alive
+  // until the server goes, so its own background tasks (queue flusher,
+  // scrubber) wake to see the stop instead of freed memory, in-flight
+  // handler coroutines and straggler RPCs land on a live object that answers
+  // fast — and it leaves peer_ids(), so the heartbeat stops pinging it and
+  // the failure detector never trips (docs/SCENARIOS.md).
   Status retire_peer(const std::string& instance_id);
   WieraPeer* peer(const std::string& instance_id);
   std::vector<std::string> peer_ids() const;

@@ -69,17 +69,6 @@ Duration extract_staleness_threshold(const policy::PolicyDoc& doc) {
   return bound;
 }
 
-// FNV-1a over a small string, used to fold breaker transitions into the
-// determinism trace hash (same recipe as the fault injector).
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 // Find the first change_policy action in a statement list whose condition
 // (already checked by the caller) matched; returns its what/to words.
 struct ChangeAction {
@@ -275,51 +264,22 @@ void WieraPeer::register_handlers() {
         auto req = decode_get_request(msg);
         if (!req.ok()) co_return req.status();
         // Serve locally; do not re-forward (avoids loops).
-        GetRequest request = std::move(req).value();
-        request.deadline = msg.deadline;
-        // NOTE: no ternary around co_await — GCC 12 miscompiles conditional
-        // operators whose branches both await (frame-slot corruption).
-        Result<tiera::GetResult> local = not_found("unset");
-        if (request.version == 0) {
-          local = co_await local_->get(
-              request.key,
-              {.direct = request.direct, .deadline = request.deadline});
-        } else {
-          local = co_await local_->get_version(
-              request.key, request.version,
-              {.direct = request.direct, .deadline = request.deadline});
-        }
-        if (!local.ok()) co_return local.status();
-        GetResponse out;
-        out.value = std::move(local->value);
-        out.version = local->version;
-        out.served_by = config_.instance_id;
-        out.checksum = object_checksum(request.key, out.version, out.value);
-        co_return encode(out);
+        auto out = co_await serve_local(
+            req->key, req->version,
+            {.direct = req->direct, .deadline = msg.deadline});
+        if (!out.ok()) co_return out.status();
+        co_return encode(*out);
       });
   endpoint_->register_handler(
       method::kReplicate,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
         auto req = decode_replicate_request(msg);
         if (!req.ok()) co_return req.status();
-        // Verify before applying: a payload bit-flipped in transit must
+        // Verified before applying: a payload bit-flipped in transit must
         // never land in a replica. The sender sees the error, keeps the
         // update queued, and retries on the next flush tick.
-        if (config_.local.verify_checksums && req->checksum != 0 &&
-            object_checksum(req->key, req->version, req->value) !=
-                req->checksum) {
-          wire_checksum_failures_->inc();
-          co_return data_loss("replicate of " + req->key + " to " +
-                              config_.instance_id +
-                              ": payload arrived corrupt");
-        }
-        tiera::TieraInstance::RemoteUpdate update;
-        update.key = req->key;
-        update.version = req->version;
-        update.value = req->value;
-        update.last_modified = req->last_modified;
-        update.origin = req->origin;
-        auto accepted = co_await local_->apply_remote_update(std::move(update));
+        auto accepted =
+            co_await apply_replica(std::move(req).value(), "replicate");
         if (!accepted.ok()) co_return accepted.status();
         co_return encode(ReplicateResponse{*accepted});
       });
@@ -335,24 +295,11 @@ void WieraPeer::register_handlers() {
         out.results.reserve(req->ops.size());
         for (ReplicateRequest& op : req->ops) {
           ReplicateBatchResult res;
-          if (config_.local.verify_checksums && op.checksum != 0 &&
-              object_checksum(op.key, op.version, op.value) != op.checksum) {
-            wire_checksum_failures_->inc();
-            res.code = StatusCode::kDataLoss;
+          auto accepted = co_await apply_replica(std::move(op), "replicate");
+          if (!accepted.ok()) {
+            res.code = accepted.status().code();
           } else {
-            tiera::TieraInstance::RemoteUpdate update;
-            update.key = op.key;
-            update.version = op.version;
-            update.value = op.value;
-            update.last_modified = op.last_modified;
-            update.origin = op.origin;
-            auto accepted =
-                co_await local_->apply_remote_update(std::move(update));
-            if (!accepted.ok()) {
-              res.code = accepted.status().code();
-            } else {
-              res.accepted = *accepted;
-            }
+            res.accepted = *accepted;
           }
           out.results.push_back(res);
         }
@@ -406,26 +353,10 @@ void WieraPeer::register_handlers() {
         if (!req.ok()) co_return req.status();
         SyncPullResponse out;
         for (const std::string& key : local_->meta().keys()) {
-          const metadb::ObjectMeta* obj = local_->meta().find(key);
-          if (obj == nullptr) continue;
-          const metadb::VersionMeta* vm = obj->latest_committed();
-          if (vm == nullptr) continue;
-          // Copy before suspending: a concurrent put/GC during get_version
-          // can erase this version's metadata out from under vm.
-          const int64_t version = vm->version;
-          const TimePoint last_modified = vm->last_modified;
-          const std::string origin = vm->origin;
-          auto value = co_await local_->get_version(key, version);
-          if (!value.ok()) continue;  // payload lost (volatile-only copy)
-          ReplicateRequest entry;
-          entry.key = key;
-          entry.version = version;
-          entry.value = std::move(value->value);
-          entry.last_modified = last_modified;
-          entry.origin = origin;
-          entry.checksum = object_checksum(entry.key, entry.version,
-                                           entry.value);
-          out.entries.push_back(std::move(entry));
+          auto entry = co_await seal_local(key, /*version=*/0);
+          // Skipped: no committed version, or its payload is lost
+          // (volatile-only copy).
+          if (entry.ok()) out.entries.push_back(std::move(entry).value());
         }
         co_return encode(out);
       });
@@ -452,47 +383,22 @@ void WieraPeer::register_handlers() {
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
         auto req = decode_repair_fetch_request(msg);
         if (!req.ok()) co_return req.status();
-        int64_t version = req->version;
-        if (version == 0) {
-          const metadb::ObjectMeta* obj = local_->meta().find(req->key);
-          const metadb::VersionMeta* latest =
-              obj == nullptr ? nullptr : obj->latest_committed();
-          if (latest == nullptr) {
-            co_return not_found("repair fetch: no committed version of " +
-                                req->key + " on " + config_.instance_id);
-          }
-          version = latest->version;
-        }
         // The read path verifies the payload against the recorded checksum,
         // so a replica whose own copy rotted answers kDataLoss here and the
         // requester moves on to the next replica.
-        auto value = co_await local_->get_version(req->key, version);
-        if (!value.ok()) co_return value.status();
-        const metadb::VersionMeta* vm =
-            local_->meta().find_version(req->key, version);
-        ReplicateRequest entry;
-        entry.key = req->key;
-        entry.version = version;
-        entry.value = std::move(value->value);
-        entry.last_modified =
-            vm != nullptr ? vm->last_modified : sim_->now();
-        entry.origin = vm != nullptr ? vm->origin : config_.instance_id;
-        entry.checksum = object_checksum(entry.key, entry.version,
-                                         entry.value);
-        co_return encode(entry);
+        auto entry = co_await seal_local(req->key, req->version);
+        if (!entry.ok()) co_return entry.status();
+        co_return encode(*entry);
       });
   endpoint_->register_handler(
       method::kColdStore,
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
         auto req = decode_replicate_request(msg);
         if (!req.ok()) co_return req.status();
-        if (config_.local.verify_checksums && req->checksum != 0 &&
-            object_checksum(req->key, req->version, req->value) !=
-                req->checksum) {
-          wire_checksum_failures_->inc();
-          co_return data_loss("cold store of " + req->key + " on " +
-                              config_.instance_id +
-                              ": payload arrived corrupt");
+        if (Status st = verify_seal("cold store", req->key, req->version,
+                                    req->value.view(), req->checksum);
+            !st.ok()) {
+          co_return st;
         }
         store::StorageTier* tier =
             local_->tier_by_label(config_.cold_tier_label);
@@ -520,14 +426,9 @@ void WieraPeer::register_handlers() {
       [this](rpc::Message msg) -> sim::Task<Result<rpc::Message>> {
         auto req = decode_get_request(msg);
         if (!req.ok()) co_return req.status();
-        auto local = co_await local_->get(req->key);
-        if (!local.ok()) co_return local.status();
-        GetResponse out;
-        out.value = std::move(local->value);
-        out.version = local->version;
-        out.served_by = config_.instance_id;
-        out.checksum = object_checksum(req->key, out.version, out.value);
-        co_return encode(out);
+        auto out = co_await serve_local(req->key, /*version=*/0, {});
+        if (!out.ok()) co_return out.status();
+        co_return encode(*out);
       });
 }
 
@@ -538,12 +439,10 @@ sim::Task<Result<PutResponse>> WieraPeer::client_put(PutRequest request) {
   // payload) before the bytes left it; reject rather than durably store a
   // payload that was corrupted in transit. Covers the forwarded-put hop
   // too (the checksum travels with the re-encoded request).
-  if (config_.local.verify_checksums && request.checksum != 0 &&
-      object_checksum(request.key, request.version, request.value) !=
-          request.checksum) {
-    wire_checksum_failures_->inc();
-    co_return data_loss("put " + request.key + " on " + config_.instance_id +
-                        ": payload arrived corrupt (checksum mismatch)");
+  if (Status st = verify_seal("put", request.key, request.version,
+                              request.value.view(), request.checksum);
+      !st.ok()) {
+    co_return st;
   }
   if (Status gate = availability_gate(); !gate.ok()) co_return gate;
   co_await wait_if_blocked();
@@ -720,12 +619,10 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
   // loudly, not be answered as a clean miss (or with another object's
   // bytes). Clients checksum (key, version, client); internal forwards
   // leave it 0.
-  if (config_.local.verify_checksums && request.checksum != 0 &&
-      object_checksum(request.key, request.version, request.client) !=
-          request.checksum) {
-    wire_checksum_failures_->inc();
-    co_return data_loss("get " + request.key + " on " + config_.instance_id +
-                        ": request arrived corrupt (checksum mismatch)");
+  if (Status st = verify_seal("get", request.key, request.version,
+                              request.client, request.checksum);
+      !st.ok()) {
+    co_return st;
   }
   if (Status gate = availability_gate(); !gate.ok()) {
     // Graceful degradation (docs/OVERLOAD.md): a lease-lapsed replica may
@@ -806,26 +703,14 @@ sim::Task<Result<GetResponse>> WieraPeer::client_get(GetRequest request) {
   } else {
     const TraceContext tier_span =
         tracer().start_span("tiera.get", config_.instance_id, request.trace);
-    Result<tiera::GetResult> local = not_found("unset");
-    if (request.version == 0) {
-      local = co_await local_->get(
-          request.key,
-          {.direct = request.direct, .deadline = request.deadline});
-    } else {
-      local = co_await local_->get_version(
-          request.key, request.version,
-          {.direct = request.direct, .deadline = request.deadline});
-    }
+    Result<GetResponse> local = co_await serve_local(
+        request.key, request.version,
+        {.direct = request.direct, .deadline = request.deadline});
     const std::string_view tier_st_name =
         local.ok() ? "ok" : status_code_name(local.status().code());
     tracer().end_span(tier_span, tier_st_name);
     if (local.ok()) {
-      GetResponse out;
-      out.value = std::move(local->value);
-      out.version = local->version;
-      out.served_by = config_.instance_id;
-      out.checksum = object_checksum(request.key, out.version, out.value);
-      result = std::move(out);
+      result = std::move(local);
     } else if (local.status().code() == StatusCode::kDataLoss &&
                !storage_peer_ids_.empty()) {
       // Every local copy failed its checksum and was quarantined: read-
@@ -1412,51 +1297,18 @@ sim::Task<Status> WieraPeer::catch_up(std::vector<std::string> sources) {
       continue;
     }
     for (ReplicateRequest& entry : decoded->entries) {
-      // A snapshot entry corrupted in transit must not be merged: skip it
-      // (the scrubber's digest exchange repairs the gap later).
-      if (config_.local.verify_checksums && entry.checksum != 0 &&
-          object_checksum(entry.key, entry.version, entry.value) !=
-              entry.checksum) {
-        wire_checksum_failures_->inc();
-        WLOG_WARN(kComponent) << id() << " catch-up entry " << entry.key
-                              << " arrived corrupt; skipped";
-        continue;
-      }
-      tiera::TieraInstance::RemoteUpdate update;
-      update.key = entry.key;
-      update.version = entry.version;
-      update.value = entry.value;
-      update.last_modified = entry.last_modified;
-      update.origin = entry.origin;
-      auto accepted = co_await local_->apply_remote_update(std::move(update));
+      // A snapshot entry corrupted in transit is not merged (the scrubber's
+      // digest exchange repairs the gap later).
+      const std::string key = entry.key;
+      auto accepted = co_await apply_replica(std::move(entry), "catch-up");
       if (!accepted.ok()) {
-        WLOG_WARN(kComponent) << id() << " catch-up merge of " << entry.key
+        WLOG_WARN(kComponent) << id() << " catch-up merge of " << key
                               << " failed: " << accepted.status().to_string();
       }
     }
     // Push survivors the other way: any durable local write the outage kept
     // from replicating goes back on the queue for the flusher.
-    for (const std::string& key : local_->meta().keys()) {
-      const metadb::ObjectMeta* obj = local_->meta().find(key);
-      if (obj == nullptr) continue;
-      const metadb::VersionMeta* vm = obj->latest_committed();
-      if (vm == nullptr) continue;
-      // Copy before suspending: get_version can interleave with a put/GC
-      // that erases this version's metadata out from under vm.
-      const int64_t version = vm->version;
-      const TimePoint last_modified = vm->last_modified;
-      const std::string origin = vm->origin;
-      auto value = co_await local_->get_version(key, version);
-      if (!value.ok()) continue;
-      ReplicateRequest entry;
-      entry.key = key;
-      entry.version = version;
-      entry.value = std::move(value->value);
-      entry.last_modified = last_modified;
-      entry.origin = origin;
-      entry.checksum = object_checksum(entry.key, entry.version, entry.value);
-      queue_->send(QueuedUpdate{std::move(entry)});
-    }
+    co_await requeue_latest();
     catch_ups_completed_->inc();
     journal()
         .event("peer", "catch_up")
@@ -1512,27 +1364,7 @@ sim::Task<Status> WieraPeer::drain(TimePoint deadline, bool flush_only) {
   // LWW-lost one we hold) converge before this peer detaches. Replicas drop
   // duplicates by version, so re-sending the already-replicated majority is
   // idle work, not corruption.
-  for (const std::string& key : local_->meta().keys()) {
-    const metadb::ObjectMeta* obj = local_->meta().find(key);
-    if (obj == nullptr) continue;
-    const metadb::VersionMeta* vm = obj->latest_committed();
-    if (vm == nullptr) continue;
-    // Copy before suspending: get_version can interleave with GC that
-    // erases this version's metadata out from under vm.
-    const int64_t version = vm->version;
-    const TimePoint last_modified = vm->last_modified;
-    const std::string origin = vm->origin;
-    auto value = co_await local_->get_version(key, version);
-    if (!value.ok()) continue;
-    ReplicateRequest entry;
-    entry.key = key;
-    entry.version = version;
-    entry.value = std::move(value->value);
-    entry.last_modified = last_modified;
-    entry.origin = origin;
-    entry.checksum = object_checksum(entry.key, entry.version, entry.value);
-    queue_->send(QueuedUpdate{std::move(entry)});
-  }
+  co_await requeue_latest();
   while (queue_->size() > 0) {
     if (sim_->now() >= deadline) {
       co_return deadline_exceeded(config_.instance_id + " drain hand-off: " +
@@ -1574,9 +1406,9 @@ CircuitBreaker* WieraPeer::breaker_for(const std::string& target) {
     // run must trip the same breakers in the same order.
     it->second.set_transition_hook(
         [this, target](CircuitBreaker::State, CircuitBreaker::State to) {
-          sim_->checker().fold_trace(
-              fnv1a(config_.instance_id + "|" + target + "|" +
-                    CircuitBreaker::state_name(to)));
+          sim_->checker().fold_trace(fnv1a64(
+              sim::kTraceHashSeed, config_.instance_id + "|" + target + "|" +
+                                       CircuitBreaker::state_name(to)));
           metrics_
               ->counter("wiera_breaker_transitions_total",
                         {{"instance", config_.instance_id},
@@ -1612,22 +1444,11 @@ bool WieraPeer::stale_read_allowed() const {
 
 sim::Task<Result<GetResponse>> WieraPeer::stale_local_get(
     const GetRequest& request) {
-  Result<tiera::GetResult> local = not_found("unset");
-  if (request.version == 0) {
-    local = co_await local_->get(
-        request.key, {.direct = request.direct, .deadline = request.deadline});
-  } else {
-    local = co_await local_->get_version(
-        request.key, request.version,
-        {.direct = request.direct, .deadline = request.deadline});
-  }
-  if (!local.ok()) co_return local.status();
-  GetResponse out;
-  out.value = std::move(local->value);
-  out.version = local->version;
-  out.served_by = config_.instance_id;
-  out.checksum = object_checksum(request.key, out.version, out.value);
-  out.stale = true;
+  auto out = co_await serve_local(
+      request.key, request.version,
+      {.direct = request.direct, .deadline = request.deadline});
+  if (!out.ok()) co_return out.status();
+  out->stale = true;
   stale_serves_->inc();
   tracer().annotate(request.trace, "stale=true");
   journal()
@@ -1638,6 +1459,95 @@ sim::Task<Result<GetResponse>> WieraPeer::stale_local_get(
   WLOG_INFO(kComponent) << id() << " served " << request.key
                         << " stale (degradation)";
   co_return out;
+}
+
+// ------------------------------------------------- integrity: seal / verify
+
+Status WieraPeer::verify_seal(std::string_view what, const std::string& key,
+                              int64_t version, std::string_view payload,
+                              uint64_t seal, bool required) {
+  const SealCheck check = required
+                              ? SealCheck::kRequired
+                              : seal_check(config_.local.verify_checksums);
+  if (seal_holds(check, seal, key, version, payload)) return ok_status();
+  wire_checksum_failures_->inc();
+  return data_loss(std::string(what) + " of " + key + " on " +
+                   config_.instance_id +
+                   ": payload arrived corrupt (checksum mismatch)");
+}
+
+sim::Task<Result<bool>> WieraPeer::apply_replica(ReplicateRequest replica,
+                                                 std::string what,
+                                                 bool required) {
+  if (Status st = verify_seal(what, replica.key, replica.version,
+                              replica.value.view(), replica.checksum,
+                              required);
+      !st.ok()) {
+    co_return st;
+  }
+  tiera::TieraInstance::RemoteUpdate update;
+  update.key = std::move(replica.key);
+  update.version = replica.version;
+  update.value = std::move(replica.value);
+  update.last_modified = replica.last_modified;
+  update.origin = std::move(replica.origin);
+  co_return co_await local_->apply_remote_update(std::move(update));
+}
+
+sim::Task<Result<GetResponse>> WieraPeer::serve_local(std::string key,
+                                                      int64_t version,
+                                                      store::IoOptions opts) {
+  // NOTE: no ternary around co_await — GCC 12 miscompiles conditional
+  // operators whose branches both await (frame-slot corruption).
+  Result<tiera::GetResult> local = not_found("unset");
+  if (version == 0) {
+    local = co_await local_->get(key, opts);
+  } else {
+    local = co_await local_->get_version(key, version, opts);
+  }
+  if (!local.ok()) co_return local.status();
+  GetResponse out;
+  out.value = std::move(local->value);
+  out.version = local->version;
+  out.served_by = config_.instance_id;
+  // Sealed over the bytes actually served, not the row's recorded seal: the
+  // wire checksum guards the response leg only (docs/INTEGRITY.md).
+  out.checksum = object_checksum(key, out.version, out.value);
+  co_return out;
+}
+
+sim::Task<Result<ReplicateRequest>> WieraPeer::seal_local(std::string key,
+                                                          int64_t version) {
+  const metadb::VersionMeta* vm = nullptr;
+  if (version != 0) {
+    vm = local_->meta().find_version(key, version);
+  } else if (const metadb::ObjectMeta* obj = local_->meta().find(key);
+             obj != nullptr) {
+    vm = obj->latest_committed();
+  }
+  if (vm == nullptr) {
+    co_return not_found("no committed version of " + key + " on " +
+                        config_.instance_id);
+  }
+  // Copy the stamp before suspending: a concurrent put/GC during the read
+  // can erase this version's metadata out from under vm.
+  ReplicateRequest entry;
+  entry.key = key;
+  entry.version = vm->version;
+  entry.last_modified = vm->last_modified;
+  entry.origin = vm->origin;
+  auto value = co_await local_->get_version(std::move(key), entry.version);
+  if (!value.ok()) co_return value.status();
+  entry.value = std::move(value->value);
+  entry.checksum = object_checksum(entry.key, entry.version, entry.value);
+  co_return entry;
+}
+
+sim::Task<void> WieraPeer::requeue_latest() {
+  for (const std::string& key : local_->meta().keys()) {
+    auto entry = co_await seal_local(key, /*version=*/0);
+    if (entry.ok()) queue_->send(QueuedUpdate{std::move(entry).value()});
+  }
 }
 
 // ------------------------------------------------- integrity: repair / scrub
@@ -1653,23 +1563,15 @@ sim::Task<Status> WieraPeer::fetch_and_merge(std::string source,
   if (!resp.ok()) co_return resp.status();
   auto entry = decode_replicate_request(*resp);
   if (!entry.ok()) co_return entry.status();
+  // Report what was fetched: version 0 resolves to the source's latest.
+  key = entry->key;
+  version = entry->version;
   // A repair payload must prove itself unconditionally (not gated by
   // verify_checksums): installing an unverified "repair" would spread
   // corruption instead of healing it.
-  if (entry->checksum == 0 ||
-      object_checksum(entry->key, entry->version, entry->value) !=
-          entry->checksum) {
-    wire_checksum_failures_->inc();
-    co_return data_loss("repair fetch of " + key + " from " + source +
-                        " arrived corrupt");
-  }
-  tiera::TieraInstance::RemoteUpdate update;
-  update.key = entry->key;
-  update.version = entry->version;
-  update.value = entry->value;
-  update.last_modified = entry->last_modified;
-  update.origin = entry->origin;
-  auto accepted = co_await local_->apply_remote_update(std::move(update));
+  auto accepted = co_await apply_replica(std::move(entry).value(),
+                                         "repair fetch from " + source,
+                                         /*required=*/true);
   if (!accepted.ok()) co_return accepted.status();
   if (*accepted) {
     if (from_scrub) {
@@ -1680,19 +1582,19 @@ sim::Task<Status> WieraPeer::fetch_and_merge(std::string source,
     // Fold every applied repair into the determinism trace: a replayed
     // corruption run must heal the same objects in the same order.
     sim_->checker().fold_trace(
-        fnv1a(config_.instance_id + "|repair|" + entry->key + "#" +
-              std::to_string(entry->version)));
+        fnv1a64(sim::kTraceHashSeed, config_.instance_id + "|repair|" + key +
+                                         "#" + std::to_string(version)));
     journal()
         .event("peer", "repair")
         .str("instance", config_.instance_id)
-        .str("key", entry->key)
-        .num("version", entry->version)
+        .str("key", key)
+        .num("version", version)
         .str("source", source)
         .boolean("scrub", from_scrub)
         .trace(trace);
     WLOG_INFO(kComponent) << id()
                           << (from_scrub ? " scrub-repaired " : " read-repaired ")
-                          << entry->key << "#" << entry->version << " from "
+                          << key << "#" << version << " from "
                           << source;
   }
   co_return ok_status();
@@ -1713,26 +1615,11 @@ sim::Task<Result<GetResponse>> WieraPeer::repair_get(GetRequest request) {
     }
     // Serve the repaired object through the normal (checksum-verified)
     // local read path rather than echoing the fetched bytes.
-    Result<tiera::GetResult> local = not_found("unset");
-    if (request.version == 0) {
-      local = co_await local_->get(
-          request.key,
-          {.direct = request.direct, .deadline = request.deadline});
-    } else {
-      local = co_await local_->get_version(
-          request.key, request.version,
-          {.direct = request.direct, .deadline = request.deadline});
-    }
-    if (!local.ok()) {
-      last = local.status();
-      continue;
-    }
-    GetResponse out;
-    out.value = std::move(local->value);
-    out.version = local->version;
-    out.served_by = config_.instance_id;
-    out.checksum = object_checksum(request.key, out.version, out.value);
-    co_return out;
+    auto out = co_await serve_local(
+        request.key, request.version,
+        {.direct = request.direct, .deadline = request.deadline});
+    if (out.ok()) co_return out;
+    last = out.status();
   }
   co_return last;
 }
@@ -1943,17 +1830,12 @@ sim::Task<bool> WieraPeer::on_cold_object(const std::string& key) {
   }
   if (cold_remote_keys_.count(key) > 0) co_return true;  // already shipped
 
-  auto value = co_await local_->get(key);
-  if (!value.ok()) co_return false;
-
-  ReplicateRequest update;
-  update.key = key;
-  update.version = value->version;
-  update.value = value->value;
-  update.last_modified = sim_->now();
-  update.origin = config_.instance_id;
-  update.checksum = object_checksum(update.key, update.version, update.value);
-  rpc::Message msg = encode(update);
+  auto update = co_await seal_local(key, /*version=*/0);
+  if (!update.ok()) co_return false;
+  // The cold copy is stamped as this peer's write at shipping time.
+  update->last_modified = sim_->now();
+  update->origin = config_.instance_id;
+  rpc::Message msg = encode(*update);
   auto resp = co_await endpoint_->call(config_.centralized_cold_target,
                                        method::kColdStore, std::move(msg));
   if (!resp.ok()) co_return false;

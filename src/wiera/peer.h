@@ -24,6 +24,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/breaker.h"
@@ -340,6 +341,30 @@ class WieraPeer : public tiera::InstanceHooks {
   // replicate_batch_max, flush now instead of waiting for the timer.
   void maybe_trigger_size_flush();
   sim::Task<void> size_triggered_flush();
+
+  // ---- integrity: one verify and one seal per hop (docs/INTEGRITY.md) ----
+  // Checks a payload that crossed the wire against its sender's seal
+  // (common/checksum.h). A mismatch counts in wiera_wire_checksum_failures
+  // and fails kDataLoss. `required` is the repair flavour: the payload must
+  // be sealed and match whatever verify_checksums says.
+  Status verify_seal(std::string_view what, const std::string& key,
+                     int64_t version, std::string_view payload, uint64_t seal,
+                     bool required = false);
+  // verify_seal, then the LWW merge: the receive side of every replication
+  // path (replicate, batch, catch-up, repair). true = applied.
+  sim::Task<Result<bool>> apply_replica(ReplicateRequest replica,
+                                        std::string what,
+                                        bool required = false);
+  // One local read as a response: the latest committed version when
+  // `version` is 0, else that version, sealed over the bytes served.
+  sim::Task<Result<GetResponse>> serve_local(std::string key, int64_t version,
+                                             store::IoOptions opts);
+  // One local version sealed for a replica (latest committed when `version`
+  // is 0), stamped with its metadata as of the read.
+  sim::Task<Result<ReplicateRequest>> seal_local(std::string key,
+                                                 int64_t version);
+  // Queues the latest committed version of every local key for the flusher.
+  sim::Task<void> requeue_latest();
 
   // ---- integrity: read-repair and scrub (docs/INTEGRITY.md) ----
   // Inline read-repair: every local copy of the requested object failed its

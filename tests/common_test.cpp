@@ -372,15 +372,6 @@ TEST(CircuitBreakerTest, TransitionHookSeesEveryStateChange) {
   EXPECT_EQ(seen[2].second, CircuitBreaker::State::kClosed);
 }
 
-TEST(TimeSeriesTest, RecordsInOrder) {
-  TimeSeries ts;
-  ts.record(TimePoint(100), 1.5);
-  ts.record(TimePoint(200), 2.5);
-  ASSERT_EQ(ts.samples().size(), 2u);
-  EXPECT_EQ(ts.samples()[0].time.us(), 100);
-  EXPECT_EQ(ts.samples()[1].value, 2.5);
-}
-
 // ---------------------------------------------------------------- Bytes
 
 TEST(BlobTest, EmptyBlob) {
@@ -420,6 +411,11 @@ TEST(BytesTest, Fnv1aStable) {
   EXPECT_EQ(fnv1a64(""), 0xCBF29CE484222325ull);
   EXPECT_EQ(fnv1a64("a"), 0xAF63DC4C8601EC8Cull);
   EXPECT_NE(fnv1a64("abc"), fnv1a64("acb"));
+  // Incremental: extending a hash equals hashing the concatenation, and a
+  // word folds as its 8 bytes, least significant first.
+  EXPECT_EQ(fnv1a64(fnv1a64("ab"), "c"), fnv1a64("abc"));
+  EXPECT_EQ(fnv1a64_word(kFnv1aBasis, 0x61),
+            fnv1a64(std::string_view("a\0\0\0\0\0\0\0", 8)));
 }
 
 // ---------------------------------------------------------------- Units

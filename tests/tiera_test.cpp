@@ -290,6 +290,121 @@ TEST(TieraInstanceTest, LastWriteWinsTieBreaksOnModifiedTime) {
   });
 }
 
+// A get racing a same-version LWW winner must see one of the two writes, not
+// a checksum failure: the copy it reads belongs to one write while the
+// metadata may already name the other. Three interleavings: the get starts
+// just after the winner's metadata update (it reads the loser's bytes); a
+// slow get starts first (its read ends after the winner's bytes landed); the
+// get reads the winner's first copy while its write-through copy is still
+// being written.
+TEST(TieraInstanceTest, GetRacingSameVersionWinnerIsNotQuarantined) {
+  struct Race {
+    const char* name;
+    std::string_view policy;
+    Duration get_after;     // from the update's start
+    Duration update_after;  // from the get's start
+    bool slow_reads;
+  };
+  const Race races[] = {
+      {"update first", policy::builtin::low_latency_instance(), {}, {}, false},
+      {"get first", policy::builtin::low_latency_instance(), {}, usec(1),
+       true},
+      {"get during write-through", policy::builtin::persistent_instance(),
+       usec(400), {}, false},
+  };
+  for (const Race& race : races) {
+    SCOPED_TRACE(race.name);
+    sim::Simulation sim;
+    auto doc = policy::parse_policy(race.policy);
+    ASSERT_TRUE(doc.ok());
+    TieraInstance::Config config;
+    config.instance_id = "test-instance";
+    config.policy = std::move(doc).value();
+    config.tier_tweak = [&race](const std::string&, store::TierSpec& spec) {
+      spec.jitter_fraction = 0;
+      if (race.slow_reads) {
+        spec.read_base = usec(300);
+        spec.write_base = usec(100);
+      }
+    };
+    TieraInstance inst(sim, std::move(config));
+    Result<GetResult> raced = not_found("unset");
+    run(sim, [&]() -> sim::Task<void> {
+      co_await inst.put("k", Blob("local"));  // version 1
+      co_await sim.delay(sec(5));
+      TieraInstance::RemoteUpdate winner;
+      winner.key = "k";
+      winner.version = 1;
+      winner.value = Blob("other");
+      winner.last_modified = sim.now();
+      winner.origin = "other";
+      auto racing_get = [](sim::Simulation& s, Duration after,
+                           TieraInstance& t,
+                           Result<GetResult>& out) -> sim::Task<void> {
+        co_await s.delay(after);
+        out = co_await t.get("k");
+      };
+      sim.spawn(racing_get(sim, race.get_after, inst, raced));
+      co_await sim.delay(race.update_after);
+      auto accepted = co_await inst.apply_remote_update(std::move(winner));
+      EXPECT_TRUE(accepted.ok() && *accepted);
+      co_await sim.delay(sec(1));
+      auto after = co_await inst.get("k");
+      EXPECT_TRUE(after.ok()) << after.status().to_string();
+      if (after.ok()) {
+        EXPECT_EQ(after->value.to_string(), "other");
+      }
+    });
+    EXPECT_TRUE(raced.ok()) << raced.status().to_string();
+    if (raced.ok()) {
+      EXPECT_TRUE(raced->value.to_string() == "local" ||
+                  raced->value.to_string() == "other")
+          << raced->value.to_string();
+    }
+    EXPECT_EQ(inst.checksum_failures(), 0);
+  }
+}
+
+// Two replicated writes of one version whose bytes land out of order: the
+// LWW loser's larger payload is still being written when the winner's lands,
+// so the loser's bytes overwrite the winner's. The replica must end up
+// serving the winner, without a checksum failure on the way.
+TEST(TieraInstanceTest, SameVersionWritesLandingOutOfOrderKeepTheWinner) {
+  sim::Simulation sim;
+  auto inst = make_instance(sim, policy::builtin::low_latency_instance());
+  run(sim, [&]() -> sim::Task<void> {
+    TieraInstance::RemoteUpdate loser;
+    loser.key = "k";
+    loser.version = 1;
+    loser.value = Blob(Bytes(1 << 20, 'l'));  // slow to write
+    loser.last_modified = TimePoint(10);
+    loser.origin = "a";
+    TieraInstance::RemoteUpdate winner = loser;
+    winner.value = Blob("winner");
+    winner.last_modified = TimePoint(20);
+    auto apply = [](TieraInstance& t, TieraInstance::RemoteUpdate u,
+                    bool& applied) -> sim::Task<void> {
+      auto r = co_await t.apply_remote_update(std::move(u));
+      applied = r.ok() && *r;
+    };
+    bool loser_applied = false;
+    bool winner_applied = false;
+    sim.spawn(apply(*inst, std::move(loser), loser_applied));
+    sim.spawn(apply(*inst, std::move(winner), winner_applied));
+    co_await sim.delay(sec(1));
+    EXPECT_TRUE(loser_applied);
+    EXPECT_TRUE(winner_applied);
+    auto got = co_await inst->get("k");
+    EXPECT_TRUE(got.ok()) << got.status().to_string();
+    if (got.ok()) {
+      EXPECT_EQ(got->value.to_string(), "winner");
+    }
+    const metadb::VersionMeta* vm = inst->meta().find_version("k", 1);
+    EXPECT_TRUE(vm != nullptr && vm->last_modified == TimePoint(20));
+  });
+  EXPECT_EQ(inst->checksum_failures(), 0);
+}
+
 // ------------------------------------------------------------ cold data
 
 TEST(TieraInstanceTest, ColdDataMovesToCheaperTier) {

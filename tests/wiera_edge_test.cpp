@@ -518,6 +518,36 @@ TEST(QueueRetryTest, QueuedUpdatesSurviveReplicaOutage) {
   EXPECT_EQ(cluster.controller.peer("tiera-us-west")->queue_depth(), 0);
 }
 
+// ------------------------------------------------------------ stop
+
+TEST(StopInstancesTest, SimulationRunsOnAfterStop) {
+  // Regression: stop_instances used to free each peer while its queue
+  // flusher sat suspended in a delay, so running the simulation afterwards
+  // resumed the flusher on freed memory (AddressSanitizer:
+  // heap-use-after-free). Stopped peers now stay alive, retired, until the
+  // server goes.
+  Cluster cluster;
+  WieraController::StartOptions options;
+  options.global = std::move(policy::parse_policy(
+                                 policy::builtin::eventual_consistency()))
+                       .value();
+  options.local_params["t"] = policy::Value::duration_of(sec(60));
+  options.queue_flush_interval = msec(200);
+  auto peers = cluster.controller.start_instances("w", std::move(options));
+  ASSERT_TRUE(peers.ok());
+  WieraClient client(cluster.sim, cluster.network, cluster.registry, "app",
+                     "client-us-west", *peers);
+  cluster.run([&]() -> sim::Task<void> {
+    auto put = co_await client.put("k", Blob("v"));
+    EXPECT_TRUE(put.ok()) << put.status().to_string();
+  });
+
+  ASSERT_TRUE(cluster.controller.stop_instances("w").ok());
+  EXPECT_EQ(cluster.controller.peer("tiera-us-west"), nullptr);
+  cluster.sim.run_until(cluster.sim.now() + sec(30));
+  EXPECT_FALSE(cluster.controller.get_instances("w").ok());
+}
+
 // ------------------------------------------------------ deadline vs migration
 
 TEST(MigrationDeadlineTest, GetDuringPrimaryMigrationCompletesOrExpires) {
