@@ -199,7 +199,6 @@ class TieraInstance {
   int64_t cold_moves() const { return cold_moves_->value(); }
   // Integrity counters (docs/INTEGRITY.md).
   int64_t checksum_failures() const { return checksum_failures_->value(); }
-  int64_t quarantined_copies() const { return quarantined_copies_->value(); }
 
   // ---- metadata durability (BerkeleyDB role, §4.2) ----
   // Snapshot/restore the metadata store. The paper persists all object

@@ -103,7 +103,6 @@ class WieraClient {
   // Failovers forced by failover_attempt_timeout (subset of failovers()).
   int64_t attempt_timeouts() const { return attempt_timeouts_->value(); }
   int64_t hedged_gets() const { return hedged_gets_->value(); }
-  int64_t hedged_wins() const { return hedged_wins_->value(); }
   int64_t retry_budget_denials() const { return retry_budget_.denied(); }
   // Responses the client rejected because their checksum did not match the
   // delivered bytes (corrupted on the response leg).

@@ -226,26 +226,12 @@ class WieraPeer : public tiera::InstanceHooks {
   // All remaining counter accessors are thin views over the sim-wide
   // metrics registry (wiera_*_total{instance=<id>}; docs/OBSERVABILITY.md).
   int64_t catch_ups_completed() const { return catch_ups_completed_->value(); }
-  int64_t replication_retries() const {
-    return replication_retries_->value();
-  }
 
   // ---- data-integrity state (read by tests/benches) ----
-  // Wire-level checksum rejections (put / replicate / repair payloads that
-  // arrived corrupt). Tier-level failures live on the TieraInstance.
-  int64_t wire_checksum_failures() const {
-    return wire_checksum_failures_->value();
-  }
   // Read-repairs served inline after a local kDataLoss.
   int64_t repairs() const { return repairs_->value(); }
-  // Repairs applied by the periodic scrubber (local re-verify + digest
-  // exchange), and completed scrub rounds.
-  int64_t scrub_repairs() const { return scrub_repairs_->value(); }
-  int64_t scrub_rounds() const { return scrub_rounds_->value(); }
 
   // ---- overload-robustness state (read by tests/benches) ----
-  int64_t stale_serves() const { return stale_serves_->value(); }
-  int64_t breaker_fast_fails() const { return breaker_fast_fails_->value(); }
   int64_t retry_budget_denials() const { return retry_budget_.denied(); }
   // nullptr when breakers are disabled or no traffic went to `target` yet.
   const CircuitBreaker* breaker(const std::string& target) const;
@@ -258,20 +244,8 @@ class WieraPeer : public tiera::InstanceHooks {
   // ---- monitor state (read by tests/benches) ----
   const LatencyHistogram& put_latency() const { return put_hist_->latency(); }
   const LatencyHistogram& get_latency() const { return get_hist_->latency(); }
-  int64_t direct_puts() const { return direct_puts_->value(); }
   int64_t forwarded_puts_from(const std::string& origin) const;
   int64_t queue_depth() const { return static_cast<int64_t>(queue_->size()); }
-  int64_t replications_sent() const { return replications_sent_->value(); }
-  // Zero (not registered) unless config_.replicate_batch_max > 1.
-  int64_t replication_batches() const {
-    return replication_batches_ ? replication_batches_->value() : 0;
-  }
-  int64_t replication_batched_ops() const {
-    return replication_batched_ops_ ? replication_batched_ops_->value() : 0;
-  }
-  int64_t replications_accepted() const {
-    return replications_accepted_->value();
-  }
 
   // InstanceHooks (§5.3 centralized cold data).
   sim::Task<bool> on_cold_object(const std::string& key) override;

@@ -6,10 +6,11 @@
 //   MultiPrimaries -> linearizability, PrimaryBackup -> primary order,
 //   Eventual       -> convergence + LWW agreement.
 // A failing run prints "CHAOS-FAIL seed=... mode=... fault=... trace=..."
-// so scripts/chaos_sweep.sh can collect failing seeds and the determinism
+// so `scripts/sweep.sh chaos` can collect failing seeds and the determinism
 // trace hash allows an exact replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -33,8 +34,12 @@
 #include "wiera/client.h"
 #include "wiera/controller.h"
 
+#include "seed_harness.h"
+
 namespace wiera::geo {
 namespace {
+
+constexpr const char* kSeedEnv = "WIERA_CHAOS_SEED_COUNT";
 
 const char* const kStorageNodes[] = {"tiera-us-west", "tiera-us-east",
                                      "tiera-eu-west", "tiera-asia-east"};
@@ -59,30 +64,16 @@ enum class FaultClass {
   kSlowNode,
 };
 
+// Every FAULT token --plan accepts: the FaultClass names in declaration
+// order, then the two fixed schedules.
+const char* const kPlanNames[] = {"partition", "crash",   "drop",
+                                  "spike",     "bitrot",  "torn",
+                                  "msgcorrupt", "stutter", "flakylink",
+                                  "slownode",  "brownout", "midflush"};
+constexpr int kFaultClasses = static_cast<int>(FaultClass::kSlowNode) + 1;
+
 const char* fault_class_name(FaultClass fault) {
-  switch (fault) {
-    case FaultClass::kPartition:
-      return "partition";
-    case FaultClass::kCrash:
-      return "crash";
-    case FaultClass::kDropWindow:
-      return "drop";
-    case FaultClass::kLatencySpike:
-      return "spike";
-    case FaultClass::kBitRot:
-      return "bitrot";
-    case FaultClass::kTornWrite:
-      return "torn";
-    case FaultClass::kMsgCorrupt:
-      return "msgcorrupt";
-    case FaultClass::kStutter:
-      return "stutter";
-    case FaultClass::kFlakyLink:
-      return "flakylink";
-    case FaultClass::kSlowNode:
-      return "slownode";
-  }
-  return "?";
+  return kPlanNames[static_cast<int>(fault)];
 }
 
 bool is_integrity_fault(FaultClass fault) {
@@ -277,45 +268,6 @@ std::function<void(WieraPeer::Config&)> batching_tweak(
   };
 }
 
-std::string hex_trace(uint64_t hash) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
-
-// WIERA_DUMP_TELEMETRY=1 (scripts/chaos_sweep.sh sets it when replaying a
-// failing seed; `chaos_test --dump-telemetry` does the same) makes every
-// run print its metrics snapshot and the span trees worth reading — the
-// representative put plus every violation's trace — so a failing seed's
-// replay is self-describing.
-bool dump_telemetry_enabled() {
-  const char* env = std::getenv("WIERA_DUMP_TELEMETRY");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// WIERA_DUMP_TIMESERIES=1 (`chaos_test --dump-timeseries`) additionally arms
-// the ObsPipeline scraper and the per-peer hot-key sketches for the run and
-// prints TIMESERIES-SNAPSHOT / KEYSTATS blocks (docs/METRICS_PIPELINE.md).
-// Off by default: an armed pipeline adds timer events, so replay hashes from
-// a timeseries run only compare against other timeseries runs.
-bool dump_timeseries_enabled() {
-  const char* env = std::getenv("WIERA_DUMP_TIMESERIES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-void dump_telemetry(sim::Simulation& sim, std::set<uint64_t> traces) {
-  std::printf("TELEMETRY-SNAPSHOT\n%s",
-              sim.telemetry().registry().render_text().c_str());
-  traces.erase(0);
-  for (uint64_t id : traces) {
-    obs::TraceView view(sim.telemetry().tracer(), id);
-    if (view.empty()) continue;
-    std::printf("TELEMETRY-TRACE trace=%s\n%s", hex_trace(id).c_str(),
-                view.render().c_str());
-  }
-}
-
 struct RunResult {
   std::vector<sim::OracleViolation> violations;
   // Mode-independent finals check: post-scrub replicas must agree on every
@@ -439,12 +391,7 @@ RunResult run_chaos(
   // Metrics pipeline (docs/METRICS_PIPELINE.md): unarmed by default — it
   // spawns nothing and the schedule stays byte-identical.
   sim::ObsPipeline pipeline(cluster.sim);
-  if (dump_timeseries_enabled()) {
-    sim::ObsPipeline::Config obs_config;
-    obs_config.interval = msec(100);
-    obs_config.until = TimePoint::origin() + sec(40);
-    pipeline.arm(obs_config);
-  }
+  arm_timeseries(pipeline, TimePoint::origin() + sec(40));
 
   sim::ConsistencyOracle oracle;
   std::vector<std::unique_ptr<WieraClient>> clients;
@@ -555,69 +502,46 @@ RunResult run_chaos(
       traces.insert(v.trace_id);
     dump_telemetry(cluster.sim, std::move(traces));
   }
-  if (dump_timeseries_enabled() && pipeline.sampler() != nullptr) {
-    std::printf("TIMESERIES-SNAPSHOT\n%s\n",
-                pipeline.sampler()->render_json().c_str());
-    const TimePoint now = cluster.sim.now();
-    for (const char* node : kStorageNodes) {
-      const WieraPeer* peer = cluster.controller.peer(node);
-      if (peer == nullptr || peer->key_stats().total_accesses() == 0)
-        continue;
-      std::printf("KEYSTATS instance=%s %s\n", node,
-                  peer->key_stats().render_json(now).c_str());
-    }
-  }
+  dump_timeseries(pipeline, cluster.controller,
+                  {std::begin(kStorageNodes), std::end(kStorageNodes)},
+                  cluster.sim.now());
   return result;
 }
 
-int seed_count() {
-  const char* env = std::getenv("WIERA_CHAOS_SEED_COUNT");
-  if (env == nullptr) return 20;
-  int n = std::atoi(env);
-  return n > 0 ? n : 20;
-}
-
-// CI greps these counters out of a failing corruption sweep: how much
-// corruption was injected, how much each detection layer caught, and how
-// much the self-healing machinery put back.
+// Integrity counters: how much corruption was injected, how much each
+// detection layer caught, and how much the self-healing machinery put back.
 void print_corruption_stats(ConsistencyMode mode, FaultClass fault,
                             uint64_t seed, const RunResult& r) {
-  std::printf(
-      "CORRUPTION-STATS seed=%llu mode=%s fault=%s tier_detected=%lld "
-      "quarantined=%lld wire_detected=%lld repairs=%lld scrub_repairs=%lld "
-      "scrub_rounds=%lld torn=%lld torn_discarded=%lld corrupted_msgs=%lld "
-      "trace=%s\n",
-      static_cast<unsigned long long>(seed),
-      std::string(consistency_mode_name(mode)).c_str(),
-      fault_class_name(fault),
-      static_cast<long long>(r.tier_checksum_failures),
-      static_cast<long long>(r.quarantined),
-      static_cast<long long>(r.wire_checksum_failures),
-      static_cast<long long>(r.repairs),
-      static_cast<long long>(r.scrub_repairs),
-      static_cast<long long>(r.scrub_rounds),
-      static_cast<long long>(r.torn_writes),
-      static_cast<long long>(r.torn_discards),
-      static_cast<long long>(r.corrupted_msgs),
-      hex_trace(r.trace_hash).c_str());
+  print_stats("CORRUPTION",
+              {{"seed", seed},
+               {"mode", consistency_mode_name(mode)},
+               {"fault", fault_class_name(fault)},
+               {"tier_detected", r.tier_checksum_failures},
+               {"quarantined", r.quarantined},
+               {"wire_detected", r.wire_checksum_failures},
+               {"repairs", r.repairs},
+               {"scrub_repairs", r.scrub_repairs},
+               {"scrub_rounds", r.scrub_rounds},
+               {"torn", r.torn_writes},
+               {"torn_discarded", r.torn_discards},
+               {"corrupted_msgs", r.corrupted_msgs}},
+              r.trace_hash);
 }
 
-// CI greps these counters out of the gray-failure sweep: how often the
-// detector moved a peer into/out of probation, and the two things a gray
-// peer must never cause — a primary change or a storm of client failovers.
+// Probation lifecycle counters: how often the detector moved a peer
+// into/out of probation, and the two things a gray peer must never cause —
+// a primary change or a storm of client failovers.
 void print_health_stats(ConsistencyMode mode, FaultClass fault, uint64_t seed,
                         const RunResult& r) {
-  std::printf(
-      "HEALTH-STATS seed=%llu mode=%s fault=%s probation_entries=%lld "
-      "probation_exits=%lld primary_changes=%lld client_failovers=%lld "
-      "trace=%s\n",
-      static_cast<unsigned long long>(seed),
-      std::string(consistency_mode_name(mode)).c_str(),
-      fault_class_name(fault), static_cast<long long>(r.probation_entries),
-      static_cast<long long>(r.probation_exits),
-      static_cast<long long>(r.primary_changes),
-      static_cast<long long>(r.client_failovers),
-      hex_trace(r.trace_hash).c_str());
+  print_stats("HEALTH",
+              {{"seed", seed},
+               {"mode", consistency_mode_name(mode)},
+               {"fault", fault_class_name(fault)},
+               {"probation_entries", r.probation_entries},
+               {"probation_exits", r.probation_exits},
+               {"primary_changes", r.primary_changes},
+               {"client_failovers", r.client_failovers}},
+              r.trace_hash);
 }
 
 // --------------------------------------------- brownout (overload) schedule
@@ -859,30 +783,27 @@ BrownoutResult run_brownout(uint64_t seed, bool telemetry_on = true) {
   return result;
 }
 
-// CI greps these counters out of a failing brownout sweep.
+// Overload counters of one brownout run (docs/OVERLOAD.md).
 void print_brownout_stats(uint64_t seed, const BrownoutResult& r) {
-  std::printf(
-      "BROWNOUT-STATS seed=%llu ok=%lld stale=%lld expired=%lld "
-      "unavailable=%lld exhausted=%lld notfound=%lld shed=%lld "
-      "rpc_expired=%lld hedged=%lld hedged_wins=%lld fastfail=%lld "
-      "budget_denied=%lld trace=%s\n",
-      static_cast<unsigned long long>(seed),
-      static_cast<long long>(r.counts.ok),
-      static_cast<long long>(r.counts.stale),
-      static_cast<long long>(r.counts.expired),
-      static_cast<long long>(r.counts.unavailable),
-      static_cast<long long>(r.counts.exhausted),
-      static_cast<long long>(r.counts.not_found),
-      static_cast<long long>(r.shed), static_cast<long long>(r.rpc_expired),
-      static_cast<long long>(r.hedged),
-      static_cast<long long>(r.hedged_wins),
-      static_cast<long long>(r.fast_fails),
-      static_cast<long long>(r.budget_denied),
-      hex_trace(r.trace_hash).c_str());
+  print_stats("BROWNOUT",
+              {{"seed", seed},
+               {"ok", r.counts.ok},
+               {"stale", r.counts.stale},
+               {"expired", r.counts.expired},
+               {"unavailable", r.counts.unavailable},
+               {"exhausted", r.counts.exhausted},
+               {"notfound", r.counts.not_found},
+               {"shed", r.shed},
+               {"rpc_expired", r.rpc_expired},
+               {"hedged", r.hedged},
+               {"hedged_wins", r.hedged_wins},
+               {"fastfail", r.fast_fails},
+               {"budget_denied", r.budget_denied}},
+              r.trace_hash);
 }
 
 TEST(ChaosBrownoutTest, EveryRequestResolvesUnderBrownoutAcrossSeeds) {
-  const int seeds = seed_count();
+  const int seeds = seed_count(kSeedEnv);
   int64_t total_stale = 0;
   int64_t total_expired = 0;
   int64_t total_hedged = 0;
@@ -1301,7 +1222,7 @@ class ChaosSuite : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(ChaosSuite, OracleHoldsAcrossSeeds) {
   const ChaosCase c = GetParam();
-  const int seeds = seed_count();
+  const int seeds = seed_count(kSeedEnv);
   for (int seed = 1; seed <= seeds; ++seed) {
     RunResult r = run_chaos(c.mode, c.fault, static_cast<uint64_t>(seed));
     EXPECT_GT(r.completed_ok, 0) << "seed " << seed << ": no op completed";
@@ -1356,7 +1277,7 @@ class BatchingChaosSuite : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(BatchingChaosSuite, OracleHoldsWithCoalescingArmed) {
   const ChaosCase c = GetParam();
-  const int seeds = seed_count();
+  const int seeds = seed_count(kSeedEnv);
   int64_t batches = 0;
   int64_t batched_ops = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
@@ -1402,7 +1323,7 @@ class CorruptionSuite : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(CorruptionSuite, NoCorruptReadsAndEventualRepairAcrossSeeds) {
   const ChaosCase c = GetParam();
-  const int seeds = seed_count();
+  const int seeds = seed_count(kSeedEnv);
   int64_t total_detected = 0;
   int64_t total_healed = 0;
   int64_t total_corrupted_msgs = 0;
@@ -1410,10 +1331,10 @@ TEST_P(CorruptionSuite, NoCorruptReadsAndEventualRepairAcrossSeeds) {
   for (int seed = 1; seed <= seeds; ++seed) {
     RunResult r = run_chaos(c.mode, c.fault, static_cast<uint64_t>(seed),
                             self_heal_tweak());
+    print_corruption_stats(c.mode, c.fault, static_cast<uint64_t>(seed), r);
     EXPECT_GT(r.completed_ok, 0) << "seed " << seed << ": no op completed";
     EXPECT_GT(r.events_applied, 0) << "seed " << seed << ": no fault fired";
     if (!r.violations.empty()) {
-      print_corruption_stats(c.mode, c.fault, static_cast<uint64_t>(seed), r);
       ADD_FAILURE() << "CHAOS-FAIL seed=" << seed
                     << " mode=" << consistency_mode_name(c.mode)
                     << " fault=" << fault_class_name(c.fault)
@@ -1421,7 +1342,6 @@ TEST_P(CorruptionSuite, NoCorruptReadsAndEventualRepairAcrossSeeds) {
                     << sim::ConsistencyOracle::describe(r.violations);
     }
     if (!r.convergence_violations.empty()) {
-      print_corruption_stats(c.mode, c.fault, static_cast<uint64_t>(seed), r);
       ADD_FAILURE() << "CHAOS-FAIL seed=" << seed
                     << " mode=" << consistency_mode_name(c.mode)
                     << " fault=" << fault_class_name(c.fault)
@@ -1485,7 +1405,7 @@ class GrayFailureSuite : public ::testing::TestWithParam<ChaosCase> {};
 
 TEST_P(GrayFailureSuite, SingleGrayPeerNeverTripsFailoverAcrossSeeds) {
   const ChaosCase c = GetParam();
-  const int seeds = seed_count();
+  const int seeds = seed_count(kSeedEnv);
   int64_t total_probations = 0;
   for (int seed = 1; seed <= seeds; ++seed) {
     RunResult r = run_chaos(c.mode, c.fault, static_cast<uint64_t>(seed), {},
@@ -2364,7 +2284,7 @@ TEST(ChaosRegressionTest, FlapDampingAbsorbsOneDroppedPingRound) {
 // ------------------------------------------------------------------ replay
 //
 // `chaos_test --seed N --plan MODE:FAULT` re-runs exactly one schedule —
-// the reproducer line scripts/chaos_sweep.sh prints for every CHAOS-FAIL.
+// the reproducer line scripts/sweep.sh prints for every CHAOS-FAIL.
 // FAULT is one of
 // partition|crash|drop|spike|brownout|midflush|bitrot|torn|msgcorrupt|
 // stutter|flakylink|slownode
@@ -2374,15 +2294,9 @@ TEST(ChaosRegressionTest, FlapDampingAbsorbsOneDroppedPingRound) {
 // armed, exactly as the CorruptionSuite runs them; the gray classes replay
 // with health detection armed, exactly as the GrayFailureSuite runs them.
 // `chaos_test --list-plans` prints every FAULT token one per line
-// (scripts/sweep_lib.sh validates its sweep matrices against it). Add
+// (scripts/sweep.sh validates its sweep matrix against it). Add
 // --dump-telemetry (or set WIERA_DUMP_TELEMETRY=1) to print the metrics
 // snapshot and span trees of the replayed schedule (docs/OBSERVABILITY.md).
-
-// Every FAULT token --plan accepts, in the order the enum declares them.
-const char* const kPlanNames[] = {"partition", "crash",   "drop",
-                                  "spike",     "bitrot",  "torn",
-                                  "msgcorrupt", "stutter", "flakylink",
-                                  "slownode",  "brownout", "midflush"};
 
 int list_plans_main() {
   for (const char* name : kPlanNames) std::printf("%s\n", name);
@@ -2433,31 +2347,13 @@ int replay_main(uint64_t seed, const std::string& plan_spec) {
     std::fprintf(stderr, "%s\n", mode.status().to_string().c_str());
     return 2;
   }
-  FaultClass fault;
-  if (fault_name == "partition") {
-    fault = FaultClass::kPartition;
-  } else if (fault_name == "crash") {
-    fault = FaultClass::kCrash;
-  } else if (fault_name == "drop") {
-    fault = FaultClass::kDropWindow;
-  } else if (fault_name == "spike") {
-    fault = FaultClass::kLatencySpike;
-  } else if (fault_name == "bitrot") {
-    fault = FaultClass::kBitRot;
-  } else if (fault_name == "torn") {
-    fault = FaultClass::kTornWrite;
-  } else if (fault_name == "msgcorrupt") {
-    fault = FaultClass::kMsgCorrupt;
-  } else if (fault_name == "stutter") {
-    fault = FaultClass::kStutter;
-  } else if (fault_name == "flakylink") {
-    fault = FaultClass::kFlakyLink;
-  } else if (fault_name == "slownode") {
-    fault = FaultClass::kSlowNode;
-  } else {
+  const char* const* end = kPlanNames + kFaultClasses;
+  const char* const* it = std::find(kPlanNames, end, fault_name);
+  if (it == end) {
     std::fprintf(stderr, "unknown fault class '%s'\n", fault_name.c_str());
     return 2;
   }
+  const auto fault = static_cast<FaultClass>(it - kPlanNames);
 
   const bool integrity = is_integrity_fault(fault);
   const bool gray = is_gray_fault(fault);

@@ -11,10 +11,11 @@
 // partition or crash is live) and every run folds its applied events into
 // the determinism trace hash, so a failing run prints
 // "SCENARIO-FAIL seed=... scenario=... fault=... trace=..." and
-// scripts/scenario_sweep.sh can replay it exactly with
+// `scripts/sweep.sh scenario` can replay it exactly with
 // `scenario_test --seed N --scenario NAME[:FAULT]`.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -42,6 +43,8 @@
 #include "wiera/controller.h"
 #include "wiera/scenario_host.h"
 
+#include "seed_harness.h"
+
 namespace wiera::geo {
 namespace {
 
@@ -64,22 +67,12 @@ enum class ComposedFault {
   kSlowNode,
 };
 
+// The FAULT tokens --scenario NAME:FAULT accepts, in declaration order.
+const char* const kFaultNames[] = {"none",    "partition", "crash",
+                                   "stutter", "flakylink", "slownode"};
+
 const char* fault_name(ComposedFault fault) {
-  switch (fault) {
-    case ComposedFault::kNone:
-      return "none";
-    case ComposedFault::kPartition:
-      return "partition";
-    case ComposedFault::kCrash:
-      return "crash";
-    case ComposedFault::kStutter:
-      return "stutter";
-    case ComposedFault::kFlakyLink:
-      return "flakylink";
-    case ComposedFault::kSlowNode:
-      return "slownode";
-  }
-  return "?";
+  return kFaultNames[static_cast<int>(fault)];
 }
 
 bool is_gray_fault(ComposedFault fault) {
@@ -281,39 +274,6 @@ sim::SloContract contract_for(const std::string& name, ComposedFault fault) {
   return contract;
 }
 
-std::string hex_trace(uint64_t hash) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "0x%016llx",
-                static_cast<unsigned long long>(hash));
-  return buf;
-}
-
-bool dump_telemetry_enabled() {
-  const char* env = std::getenv("WIERA_DUMP_TELEMETRY");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-// Time-series capture (docs/METRICS_PIPELINE.md): arms the ObsPipeline
-// scraper and per-peer hot-key sketches for the run. Off by default — an
-// armed pipeline adds timer events, so replay hashes from a timeseries run
-// only compare against other timeseries runs.
-bool dump_timeseries_enabled() {
-  const char* env = std::getenv("WIERA_DUMP_TIMESERIES");
-  return env != nullptr && env[0] != '\0' && env[0] != '0';
-}
-
-void dump_telemetry(sim::Simulation& sim, std::set<uint64_t> traces) {
-  std::printf("TELEMETRY-SNAPSHOT\n%s",
-              sim.telemetry().registry().render_text().c_str());
-  traces.erase(0);
-  for (uint64_t id : traces) {
-    obs::TraceView view(sim.telemetry().tracer(), id);
-    if (view.empty()) continue;
-    std::printf("TELEMETRY-TRACE trace=%s\n%s", hex_trace(id).c_str(),
-                view.render().c_str());
-  }
-}
-
 struct ScenarioRunResult {
   std::vector<sim::SloViolation> slo_violations;
   std::vector<sim::OracleViolation> violations;
@@ -479,12 +439,7 @@ ScenarioRunResult run_scenario(const std::string& name, ComposedFault fault,
   // spawns nothing and the schedule stays byte-identical. Timeseries runs
   // scrape every 100ms until the workload horizon.
   sim::ObsPipeline pipeline(cluster.sim);
-  if (dump_timeseries_enabled()) {
-    sim::ObsPipeline::Config obs_config;
-    obs_config.interval = msec(100);
-    obs_config.until = TimePoint::origin() + sec(35);
-    pipeline.arm(obs_config);
-  }
+  arm_timeseries(pipeline, TimePoint::origin() + sec(35));
 
   WieraClient::Config client_config;
   client_config.op_deadline = sec(3);
@@ -581,57 +536,39 @@ ScenarioRunResult run_scenario(const std::string& name, ComposedFault fault,
     std::printf("SCENARIO-TIMELINE\n%s", result.timeline.c_str());
     dump_telemetry(cluster.sim, std::move(traces));
   }
-  if (dump_timeseries_enabled() && pipeline.sampler() != nullptr) {
-    std::printf("TIMESERIES-SNAPSHOT\n%s\n",
-                pipeline.sampler()->render_json().c_str());
-    const TimePoint now = cluster.sim.now();
-    for (const std::string& node : *peers) {
-      const WieraPeer* peer = cluster.controller.peer(node);
-      if (peer == nullptr || peer->key_stats().total_accesses() == 0) continue;
-      std::printf("KEYSTATS instance=%s %s\n", node.c_str(),
-                  peer->key_stats().render_json(now).c_str());
-    }
-  }
+  dump_timeseries(pipeline, cluster.controller, *peers, cluster.sim.now());
   return result;
 }
 
-int seed_count() {
-  const char* env = std::getenv("WIERA_SCENARIO_SEED_COUNT");
-  if (env == nullptr) return 20;
-  int n = std::atoi(env);
-  return n > 0 ? n : 20;
-}
-
-// CI greps these counters out of a failing sweep (scripts/scenario_sweep.sh).
+// The per-run counters line, plus the health lifecycle counters for gray
+// runs (docs/HEALTH.md).
 void print_scenario_stats(const std::string& name, ComposedFault fault,
                           uint64_t seed, const ScenarioRunResult& r) {
-  std::printf(
-      "SCENARIO-STATS seed=%llu scenario=%s fault=%s ops=%lld ok=%lld "
-      "notfound=%lld shed=%lld failed=%lld events=%lld fault_events=%lld "
-      "drains=%lld added=%lld restarts=%lld attempt_timeouts=%lld trace=%s\n",
-      static_cast<unsigned long long>(seed), name.c_str(), fault_name(fault),
-      static_cast<long long>(r.ops), static_cast<long long>(r.ok),
-      static_cast<long long>(r.not_found), static_cast<long long>(r.shed),
-      static_cast<long long>(r.failed),
-      static_cast<long long>(r.events_applied),
-      static_cast<long long>(r.fault_events),
-      static_cast<long long>(r.drains), static_cast<long long>(r.added),
-      static_cast<long long>(r.restarts),
-      static_cast<long long>(r.attempt_timeouts),
-      hex_trace(r.trace_hash).c_str());
-}
-
-// Companion line for gray runs: the health lifecycle counters CI greps out
-// of a failing gray sweep (scripts/gray_sweep.sh, docs/HEALTH.md).
-void print_health_stats(const std::string& name, ComposedFault fault,
-                        uint64_t seed, const ScenarioRunResult& r) {
-  std::printf(
-      "HEALTH-STATS seed=%llu scenario=%s fault=%s probation_entries=%lld "
-      "probation_exits=%lld trace=%s\n",
-      static_cast<unsigned long long>(seed), name.c_str(), fault_name(fault),
-      static_cast<long long>(r.probation_entries),
-      static_cast<long long>(r.probation_exits),
-      hex_trace(r.trace_hash).c_str());
+  print_stats("SCENARIO",
+              {{"seed", seed},
+               {"scenario", name},
+               {"fault", fault_name(fault)},
+               {"ops", r.ops},
+               {"ok", r.ok},
+               {"notfound", r.not_found},
+               {"shed", r.shed},
+               {"failed", r.failed},
+               {"events", r.events_applied},
+               {"fault_events", r.fault_events},
+               {"drains", r.drains},
+               {"added", r.added},
+               {"restarts", r.restarts},
+               {"attempt_timeouts", r.attempt_timeouts}},
+              r.trace_hash);
+  if (is_gray_fault(fault) || is_gray_scenario(name)) {
+    print_stats("HEALTH",
+                {{"seed", seed},
+                 {"scenario", name},
+                 {"fault", fault_name(fault)},
+                 {"probation_entries", r.probation_entries},
+                 {"probation_exits", r.probation_exits}},
+                r.trace_hash);
+  }
 }
 
 void check_run(const std::string& name, ComposedFault fault, uint64_t seed,
@@ -680,16 +617,13 @@ void check_run(const std::string& name, ComposedFault fault, uint64_t seed,
 
 void sweep(const std::string& name,
            std::initializer_list<ComposedFault> faults) {
-  const int seeds = seed_count();
+  const int seeds = seed_count("WIERA_SCENARIO_SEED_COUNT");
   for (ComposedFault fault : faults) {
     int64_t probation_entries = 0;
     for (int seed = 1; seed <= seeds; ++seed) {
       ScenarioRunResult r =
           run_scenario(name, fault, static_cast<uint64_t>(seed));
       print_scenario_stats(name, fault, static_cast<uint64_t>(seed), r);
-      if (is_gray_fault(fault) || is_gray_scenario(name)) {
-        print_health_stats(name, fault, static_cast<uint64_t>(seed), r);
-      }
       probation_entries += r.probation_entries;
       check_run(name, fault, static_cast<uint64_t>(seed), r);
     }
@@ -1299,7 +1233,7 @@ std::string run_attribution_probe(uint64_t seed) {
 }
 
 TEST(AttributionSweepTest, ReportNamesTheFaultAndTheHotKeyAcrossSeeds) {
-  const int seeds = seed_count();
+  const int seeds = seed_count("WIERA_SCENARIO_SEED_COUNT");
   for (int seed = 1; seed <= seeds; ++seed) {
     const std::string text =
         run_attribution_probe(static_cast<uint64_t>(seed));
@@ -1528,7 +1462,7 @@ TEST(ScenarioOperationalTest, EvacuatingTheSyncPrimaryKeepsClientsWhole) {
 // scenario_test --seed N --scenario NAME[:FAULT]   (FAULT: none|partition|
 // crash|stutter|flakylink|slownode; default none) replays one schedule and
 // exits 0 iff it is clean —
-// the reproducer line scripts/scenario_sweep.sh prints for a failing seed.
+// the reproducer line scripts/sweep.sh prints for a failing seed.
 // Add --dump-telemetry (or WIERA_DUMP_TELEMETRY=1) for the timeline,
 // metrics snapshot and span trees of the replayed run, and
 // --dump-timeseries (WIERA_DUMP_TIMESERIES=1) to arm the ObsPipeline
@@ -1542,20 +1476,13 @@ int replay_main(uint64_t seed, const std::string& spec) {
   if (colon != std::string::npos) {
     name = spec.substr(0, colon);
     const std::string fault_spec = spec.substr(colon + 1);
-    if (fault_spec == "partition") {
-      fault = ComposedFault::kPartition;
-    } else if (fault_spec == "crash") {
-      fault = ComposedFault::kCrash;
-    } else if (fault_spec == "stutter") {
-      fault = ComposedFault::kStutter;
-    } else if (fault_spec == "flakylink") {
-      fault = ComposedFault::kFlakyLink;
-    } else if (fault_spec == "slownode") {
-      fault = ComposedFault::kSlowNode;
-    } else if (fault_spec != "none") {
+    const auto* it = std::find(std::begin(kFaultNames), std::end(kFaultNames),
+                               fault_spec);
+    if (it == std::end(kFaultNames)) {
       std::fprintf(stderr, "unknown fault class '%s'\n", fault_spec.c_str());
       return 2;
     }
+    fault = static_cast<ComposedFault>(it - std::begin(kFaultNames));
   }
   bool known = false;
   for (const std::string& builtin : sim::ScenarioPlan::builtin_names()) {
@@ -1567,9 +1494,6 @@ int replay_main(uint64_t seed, const std::string& spec) {
   }
   ScenarioRunResult r = run_scenario(name, fault, seed);
   print_scenario_stats(name, fault, seed, r);
-  if (is_gray_fault(fault) || is_gray_scenario(name)) {
-    print_health_stats(name, fault, seed, r);
-  }
   bool clean = true;
   if (!r.slo_violations.empty()) {
     std::printf("%s", sim::SloOracle::describe(r.slo_violations).c_str());
@@ -1596,7 +1520,7 @@ int replay_main(uint64_t seed, const std::string& spec) {
 
 // scenario_test --attribution-sample [--seed N]: run the forced-failure
 // attribution probe for one seed and print the rendered report — the sample
-// artifact scripts/obs_sweep.sh generates for CI upload
+// artifact `scripts/sweep.sh obs` generates for CI upload
 // (docs/METRICS_PIPELINE.md). Exits 0 iff a complete report was produced.
 int attribution_sample_main(uint64_t seed) {
   const std::string text = run_attribution_probe(seed);
@@ -1608,7 +1532,7 @@ int attribution_sample_main(uint64_t seed) {
 
 // scenario_test --list-scenarios: one valid --scenario name per line, so
 // sweep scripts validate their matrix against the binary instead of
-// grepping source (scripts/sweep_lib.sh sweep_validate_tokens).
+// grepping source (scripts/sweep.sh).
 int list_scenarios_main() {
   for (const std::string& name : sim::ScenarioPlan::builtin_names()) {
     std::printf("%s\n", name.c_str());
